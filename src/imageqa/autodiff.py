@@ -10,16 +10,11 @@ models need, and every primitive states its backward rule explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    ContractError,
-    DimensionError,
-    EmptySequenceError,
-)
+from .errors import ConfigurationError, ContractError, DimensionError
 
 
 class Tensor:
@@ -72,11 +67,23 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
+        self._produced: set[int] = set()  # ids of the outputs recorded here
 
     def _emit(self, inputs: Sequence[Tensor], out_data, backward_rule) -> Tensor:
-        out = Tensor(out_data)
+        # every primitive hands over a freshly computed array, so it becomes
+        # the output's data as it is, without a second copy
+        out = Tensor.__new__(Tensor)
+        out.data = np.asarray(out_data, dtype=np.float64, order="C")
+        out.grad = None
+        out.requires_grad = False
         self.nodes.append(TapeNode(tuple(inputs), out, backward_rule))
+        self._produced.add(id(out))
         return out
+
+    def _needs_grad(self, x: Tensor) -> bool:
+        """Whether an adjoint for ``x`` is used: it is a parameter, or an
+        output recorded on this tape.  Rules skip the other inputs."""
+        return x.requires_grad or id(x) in self._produced
 
     # ------------------------------------------------------------------
     # linear algebra
@@ -88,24 +95,14 @@ class Tape:
                 f"matmul needs [m x k] @ [k x n], got {a.shape} and {b.shape}"
             )
 
+        need_a, need_b = self._needs_grad(a), self._needs_grad(b)
+
         def rule(g):
-            return g @ b.data.T, a.data.T @ g
+            return (g @ b.data.T if need_a else None, a.data.T @ g if need_b else None)
 
         return self._emit((a, b), a.data @ b.data, rule)
 
-    def vecmat(self, v: Tensor, m: Tensor) -> Tensor:
-        """Row vector times matrix: [k] @ [k x n] -> [n]."""
-        if v.data.ndim != 1 or m.data.ndim != 2 or v.shape[0] != m.shape[0]:
-            raise DimensionError(
-                f"vecmat needs [k] @ [k x n], got {v.shape} and {m.shape}"
-            )
-
-        def rule(g):
-            return m.data @ g, np.outer(v.data, g)
-
-        return self._emit((v, m), v.data @ m.data, rule)
-
-    def embedding_lookup(self, table: Tensor, indices: Iterable[int]) -> Tensor:
+    def embedding_lookup(self, table: Tensor, indices) -> Tensor:
         """Select rows of ``table``; equivalent to one-hot rows times the table.
 
         Backward scatter-adds the output adjoint back into the selected rows,
@@ -113,14 +110,14 @@ class Tape:
         """
         if table.data.ndim != 2:
             raise DimensionError(f"embedding table must be [V x d], got {table.shape}")
-        idx = [int(i) for i in indices]
+        arr = np.asarray(indices, dtype=np.intp)
         vocab = table.shape[0]
-        for pos, i in enumerate(idx):
-            if not 0 <= i < vocab:
-                raise IndexError(
-                    f"embedding index {i} at position {pos} outside [0, {vocab})"
-                )
-        arr = np.asarray(idx, dtype=np.intp)
+        bad = np.flatnonzero((arr < 0) | (arr >= vocab))
+        if bad.size:
+            pos = bad[0]
+            raise IndexError(
+                f"embedding index {arr.flat[pos]} at position {pos} outside [0, {vocab})"
+            )
 
         def rule(g):
             gt = np.zeros_like(table.data)
@@ -129,51 +126,20 @@ class Tape:
 
         return self._emit((table,), table.data[arr], rule)
 
-    def take_row(self, x: Tensor, t: int) -> Tensor:
-        """Row ``t`` of a matrix as a vector."""
-        if x.data.ndim != 2:
-            raise DimensionError(f"take_row needs a matrix, got {x.shape}")
-        if not 0 <= t < x.shape[0]:
-            raise IndexError(f"row {t} outside [0, {x.shape[0]})")
-
-        def rule(g):
-            gx = np.zeros_like(x.data)
-            gx[t] = g
-            return (gx,)
-
-        return self._emit((x,), x.data[t].copy(), rule)
-
-    def stack_rows(self, rows: Sequence[Tensor]) -> Tensor:
-        """Stack equal-length vectors into a matrix, one per row."""
-        rows = list(rows)
-        if not rows:
-            raise ContractError("stack_rows needs at least one row")
-        width = rows[0].shape
-        for r in rows:
-            if r.data.ndim != 1 or r.shape != width:
-                raise DimensionError(
-                    f"stack_rows needs equal-length vectors, got {width} and {r.shape}"
-                )
-
-        def rule(g):
-            return tuple(g[i] for i in range(len(rows)))
-
-        return self._emit(tuple(rows), np.stack([r.data for r in rows]), rule)
-
     def pick_rows(self, x: Tensor, indices) -> Tensor:
         """x[i, indices[i]] for each row i of a matrix."""
         if x.data.ndim != 2:
             raise DimensionError(f"pick_rows needs a matrix, got {x.shape}")
-        idx = [int(i) for i in indices]
-        if len(idx) != x.shape[0]:
+        arr = np.asarray(indices, dtype=np.intp)
+        if arr.shape != x.shape[:1]:
             raise DimensionError(
-                f"pick_rows got {len(idx)} indices for {x.shape[0]} rows"
+                f"pick_rows got indices of shape {arr.shape} for {x.shape[0]} rows"
             )
         cols = x.shape[1]
-        for pos, i in enumerate(idx):
-            if not 0 <= i < cols:
-                raise IndexError(f"class index {i} at position {pos} outside [0, {cols})")
-        arr = np.asarray(idx, dtype=np.intp)
+        bad = np.flatnonzero((arr < 0) | (arr >= cols))
+        if bad.size:
+            pos = bad[0]
+            raise IndexError(f"class index {arr[pos]} at position {pos} outside [0, {cols})")
         rng_rows = np.arange(x.shape[0])
 
         def rule(g):
@@ -208,8 +174,10 @@ class Tape:
         if a.shape != b.shape:
             raise DimensionError(f"mul needs equal shapes, got {a.shape} and {b.shape}")
 
+        need_a, need_b = self._needs_grad(a), self._needs_grad(b)
+
         def rule(g):
-            return g * b.data, g * a.data
+            return (g * b.data if need_a else None, g * a.data if need_b else None)
 
         return self._emit((a, b), a.data * b.data, rule)
 
@@ -257,22 +225,12 @@ class Tape:
     # ------------------------------------------------------------------
     # nonlinearities
 
-    def relu(self, x: Tensor) -> Tensor:
-        """max(x, 0); the sub-gradient at exactly 0 is taken to be 0."""
-        mask = x.data > 0
-
-        def rule(g):
-            return (g * mask,)
-
-        return self._emit((x,), np.maximum(x.data, 0.0), rule)
-
     def sigmoid(self, x: Tensor) -> Tensor:
-        # split by sign so exp never overflows
-        out = np.empty_like(x.data)
+        # e = exp(-|x|) never overflows: 1/(1+e) for x >= 0, e/(1+e) below;
+        # where(), not -abs(), so a NaN keeps its sign bit
         pos = x.data >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-        ex = np.exp(x.data[~pos])
-        out[~pos] = ex / (1.0 + ex)
+        e = np.exp(np.where(pos, -x.data, x.data))
+        out = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
         def rule(g):
             return (g * out * (1.0 - out),)
@@ -310,30 +268,6 @@ class Tape:
             return (np.where(active, g / clipped, 0.0),)
 
         return self._emit((x,), np.log(clipped), rule)
-
-    def masked_temporal_average(self, x: Tensor, mask: Sequence[int]) -> Tensor:
-        """Mean over the rows of [T x d] whose mask entry is 1.
-
-        An all-zero mask has no representable average and raises
-        EmptySequenceError; masked rows receive exactly zero gradient.
-        """
-        if x.data.ndim != 2:
-            raise DimensionError(f"masked average needs [T x d], got {x.shape}")
-        m = np.asarray(list(mask), dtype=np.float64)
-        if m.shape != (x.shape[0],):
-            raise DimensionError(
-                f"mask length {m.shape} does not match {x.shape[0]} time steps"
-            )
-        if not np.all((m == 0.0) | (m == 1.0)):
-            raise ContractError("mask entries must be 0 or 1")
-        count = m.sum()
-        if count == 0:
-            raise EmptySequenceError("every time step is masked; nothing to average")
-
-        def rule(g):
-            return (np.outer(m, g) / count,)
-
-        return self._emit((x,), (x.data * m[:, None]).sum(axis=0) / count, rule)
 
     def dropout(self, x: Tensor, rate: float, training: bool, rng=None) -> Tensor:
         """Inverted dropout: zero entries with probability ``rate`` and scale
@@ -375,6 +309,8 @@ class Tape:
                 if tensor.requires_grad:
                     tensor.grad += piece
                 key = id(tensor)
+                if key not in self._produced:
+                    continue  # a parameter or a constant: no rule reads it
                 if key in adjoint:
                     adjoint[key] += piece
                 else:
@@ -388,7 +324,7 @@ def grad_check(f, params: Sequence[Tensor], h: float = 1e-5) -> float:
 
     ``f`` takes a fresh Tape and returns a scalar Tensor; it must be
     deterministic (dropout disabled) and is the caller's responsibility to
-    keep away from sub-gradient kinks such as relu at exactly 0.  Returns
+    keep away from sub-gradient kinks such as safe_log's floor.  Returns
     max over all parameter entries of
     |analytic - numeric| / max(1, |numeric|).
     """

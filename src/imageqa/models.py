@@ -135,23 +135,25 @@ def _init_cell(rng: np.random.Generator, cell: str, d_in: int, d_h: int,
         params[f"rnn.b_{gate}"] = Tensor(bias, True)
 
 
+def _gate(tape: Tape, x: Tensor, h: Tensor, params: Mapping[str, Tensor],
+          name: str) -> Tensor:
+    """x Wn + h Un + bn over a batch: x [N x d_in], h [N x d_h]."""
+    return tape.bias_add(
+        tape.add(
+            tape.matmul(x, params[f"rnn.w_{name}"]),
+            tape.matmul(h, params[f"rnn.u_{name}"]),
+        ),
+        params[f"rnn.b_{name}"],
+    )
+
+
 def gru_step(tape: Tape, h: Tensor, x: Tensor, params: Mapping[str, Tensor]) -> Tensor:
     """z = sig(Wz x + Uz h + bz); r = sig(Wr x + Ur h + br);
-    cand = tanh(Wh x + Uh (r*h) + bh); h' = (1-z)*h + z*cand."""
-
-    def gate(name, pre_h):
-        lin = tape.add(
-            tape.add(
-                tape.vecmat(x, params[f"rnn.w_{name}"]),
-                tape.vecmat(pre_h, params[f"rnn.u_{name}"]),
-            ),
-            params[f"rnn.b_{name}"],
-        )
-        return lin
-
-    z = tape.sigmoid(gate("z", h))
-    r = tape.sigmoid(gate("r", h))
-    cand = tape.tanh(gate("h", tape.mul(r, h)))
+    cand = tanh(Wh x + Uh (r*h) + bh); h' = (1-z)*h + z*cand.
+    One step for a batch: h is [N x d_h], x is [N x d_in]."""
+    z = tape.sigmoid(_gate(tape, x, h, params, "z"))
+    r = tape.sigmoid(_gate(tape, x, h, params, "r"))
+    cand = tape.tanh(_gate(tape, x, tape.mul(r, h), params, "h"))
     # (1-z)*h + z*cand, written as h + z*(cand-h)
     return tape.add(h, tape.mul(z, tape.sub(cand, h)))
 
@@ -159,25 +161,22 @@ def gru_step(tape: Tape, h: Tensor, x: Tensor, params: Mapping[str, Tensor]) -> 
 def lstm_step(
     tape: Tape, h: Tensor, c: Tensor, x: Tensor, params: Mapping[str, Tensor]
 ) -> tuple[Tensor, Tensor]:
-    """Standard gates i, f, o and candidate g; c' = f*c + i*g, h' = o*tanh(c')."""
-
-    def gate(name, activate):
-        lin = tape.add(
-            tape.add(
-                tape.vecmat(x, params[f"rnn.w_{name}"]),
-                tape.vecmat(h, params[f"rnn.u_{name}"]),
-            ),
-            params[f"rnn.b_{name}"],
-        )
-        return activate(lin)
-
-    i = gate("i", tape.sigmoid)
-    f = gate("f", tape.sigmoid)
-    o = gate("o", tape.sigmoid)
-    g = gate("g", tape.tanh)
+    """Standard gates i, f, o and candidate g; c' = f*c + i*g, h' = o*tanh(c').
+    One step for a batch: h and c are [N x d_h], x is [N x d_in]."""
+    i = tape.sigmoid(_gate(tape, x, h, params, "i"))
+    f = tape.sigmoid(_gate(tape, x, h, params, "f"))
+    o = tape.sigmoid(_gate(tape, x, h, params, "o"))
+    g = tape.tanh(_gate(tape, x, h, params, "g"))
     c_new = tape.add(tape.mul(f, c), tape.mul(i, g))
     h_new = tape.mul(o, tape.tanh(c_new))
     return h_new, c_new
+
+
+def _blend(tape: Tape, new: Tensor, old: Tensor, keep: Tensor, drop: Tensor) -> Tensor:
+    """new on rows where keep is 1, old where it is 0.  keep and drop = 1 - keep
+    are constant 0/1 matrices, so both the values and the gradients of the
+    kept rows come through bit for bit."""
+    return tape.add(tape.mul(keep, new), tape.mul(drop, old))
 
 
 @dataclass
@@ -192,38 +191,54 @@ class Model:
         return self.kind.startswith("vl")
 
     def language_vectors(self, tape: Tape, questions) -> Tensor:
-        """Encode a padded [N x T] index batch into one vector per example."""
+        """Encode a padded [N x T] index batch into one vector per example.
+
+        The whole batch is one tensor.  BOW is a count matrix times the
+        embedding table; the recurrent cells step over the columns from the
+        first one that holds a real token, and rows with a pad in a column
+        keep their state through it.
+        """
         q = np.asarray(questions, dtype=np.int64)
         if q.ndim != 2:
             raise DimensionError(f"questions must be [N x T], got {q.shape}")
         if q.shape[0] == 0:
             raise ContractError("cannot encode an empty batch")
         embedding = self.params["embedding"]
-        vectors = []
-        for row in q:
-            idx = [int(i) for i in row]
-            if self.kind.endswith("bow"):
-                looked = tape.embedding_lookup(embedding, idx)
-                mask = [0 if i == PAD_INDEX else 1 for i in idx]
-                v = tape.masked_temporal_average(looked, mask)
-                if self.config.bow_pooling == "sum":
-                    v = tape.scale(v, float(sum(mask)))
+        vocab = embedding.shape[0]
+        bad = np.argwhere((q < 0) | (q >= vocab))
+        if len(bad):
+            n, t = bad[0]
+            raise IndexError(
+                f"embedding index {q[n, t]} at row {n}, position {t} outside [0, {vocab})"
+            )
+        real = q != PAD_INDEX
+        lengths = real.sum(axis=1)
+        if not lengths.all():
+            row = int(np.argmin(lengths))
+            raise EmptySequenceError(f"question {row} has no unpadded tokens")
+
+        n_rows = q.shape[0]
+        if self.kind.endswith("bow"):
+            counts = np.zeros((n_rows, vocab))
+            np.add.at(counts, (np.arange(n_rows)[:, None], q), real)
+            if self.config.bow_pooling == "average":
+                counts /= lengths[:, None]
+            return tape.matmul(Tensor(counts), embedding)
+
+        d_h = self.config.hidden_state_dim
+        h = Tensor(np.zeros((n_rows, d_h)))
+        c = Tensor(np.zeros((n_rows, d_h)))
+        for t in range(int(np.argmax(real.any(axis=0))), q.shape[1]):
+            x = tape.embedding_lookup(embedding, q[:, t])
+            keep_rows = np.broadcast_to(real[:, t, None], (n_rows, d_h))
+            keep, drop = Tensor(keep_rows), Tensor(~keep_rows)
+            if self.config.cell == "lstm":
+                h_new, c_new = lstm_step(tape, h, c, x, self.params)
+                c = _blend(tape, c_new, c, keep, drop)
             else:
-                real = [i for i in idx if i != PAD_INDEX]
-                if not real:
-                    raise EmptySequenceError("question has no unpadded tokens")
-                looked = tape.embedding_lookup(embedding, real)
-                h = Tensor(np.zeros(self.config.hidden_state_dim))
-                if self.config.cell == "lstm":
-                    c = Tensor(np.zeros(self.config.hidden_state_dim))
-                    for t in range(len(real)):
-                        h, c = lstm_step(tape, h, c, tape.take_row(looked, t), self.params)
-                else:
-                    for t in range(len(real)):
-                        h = gru_step(tape, h, tape.take_row(looked, t), self.params)
-                v = h
-            vectors.append(v)
-        return tape.stack_rows(vectors)
+                h_new = gru_step(tape, h, x, self.params)
+            h = _blend(tape, h_new, h, keep, drop)
+        return h
 
     def forward(
         self,

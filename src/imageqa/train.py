@@ -147,13 +147,6 @@ def validation_count(n: int, split: float) -> int:
     return int(math.ceil(n * split - 1e-9))
 
 
-def predict_classes(model: Model, inputs) -> np.ndarray:
-    questions, visual = _split_inputs(inputs)
-    tape = Tape()
-    scores = model.forward(tape, questions, visual, training=False)
-    return np.argmax(scores.data, axis=-1)
-
-
 def evaluate(model: Model, inputs, targets) -> tuple[float, float]:
     """Dropout-free loss and accuracy over a whole set."""
     questions, visual = _split_inputs(inputs)

@@ -99,13 +99,11 @@ def test_prepending_pads_changes_nothing():
 
 
 def test_all_pad_question_raises_empty_sequence():
-    for build, cfg in [
-        (build_blind_bow, tiny_config()),
-        (build_blind_rnn, tiny_config(cell="gru")),
-    ]:
-        model = build(cfg)
-        with pytest.raises(EmptySequenceError):
-            model.forward(Tape(), np.array([[0, 0, 0]]), training=False)
+    # one empty row fails the whole batch, for every kind
+    for model, visual in all_models():
+        for questions, row in [([[0, 0, 0], [0, 0, 0]], 0), ([[0, 2, 3], [0, 0, 0]], 1)]:
+            with pytest.raises(EmptySequenceError, match=f"question {row} "):
+                model.forward(Tape(), np.array(questions), visual, training=False)
 
 
 def test_pad_row_of_embedding_gets_exactly_zero_gradient():
@@ -119,6 +117,51 @@ def test_pad_row_of_embedding_gets_exactly_zero_gradient():
         emb = model.params["embedding"]
         assert np.all(emb.grad[0] == 0.0), model.kind
         assert np.any(emb.grad[1:] != 0.0), model.kind
+
+
+def test_out_of_range_index_raises_for_every_kind():
+    for model, visual in all_models():
+        vocab = model.config.input_dim
+        for bad in (-1, vocab):
+            questions = np.array([[0, 2, 3], [0, 4, bad]])
+            with pytest.raises(IndexError, match=f"index {bad} at row 1, position 2 "):
+                model.forward(Tape(), questions, visual, training=False)
+
+
+def test_bow_average_is_the_mean_of_the_real_token_rows():
+    model = build_blind_bow(tiny_config())
+    table = model.params["embedding"].data
+    # pads anywhere in the row are left out, repeated tokens count twice
+    vectors = model.language_vectors(Tape(), np.array([[0, 2, 0, 5, 2], [0, 0, 0, 0, 6]]))
+    np.testing.assert_allclose(
+        vectors.data, [(2 * table[2] + table[5]) / 3, table[6]], atol=1e-15
+    )
+
+
+def test_each_row_encodes_as_it_would_alone():
+    # ragged rows, one with a pad inside it: the batch starts at the first
+    # real column of its longest row, and shorter rows carry their state
+    questions = np.array([[2, 3, 4, 5, 6], [0, 0, 0, 0, 3], [0, 4, 0, 2, 2]])
+    for model, _ in all_models():
+        batched = model.language_vectors(Tape(), questions)
+        for n, row in enumerate(questions):
+            alone = model.language_vectors(Tape(), row[None, :])
+            np.testing.assert_allclose(batched.data[n], alone.data[0], atol=1e-12)
+
+
+def test_a_batch_tiled_eight_times_records_as_many_tape_nodes():
+    # the encoders compute the whole batch at once: the tape grows with the
+    # number of time steps, never with the number of rows
+    for cfg, build in [
+        (tiny_config(), build_blind_bow),
+        (tiny_config(cell="gru"), build_blind_rnn),
+        (tiny_config(cell="lstm"), build_blind_rnn),
+    ]:
+        model = build(cfg)
+        once, tiled = Tape(), Tape()
+        model.forward(once, QUESTIONS, training=False)
+        model.forward(tiled, np.tile(QUESTIONS, (8, 1)), training=False)
+        assert len(tiled.nodes) == len(once.nodes), cfg.cell
 
 
 def test_same_seed_builds_bitwise_identical_parameters():
@@ -181,21 +224,21 @@ def test_lstm_zero_weights_forget_bias_keeps_zero_cell():
     zero_params(model)
     model.params["rnn.b_f"].data[...] = 1.0  # the documented init
     tape = Tape()
-    h = Tensor(np.zeros(6))
-    c = Tensor(np.zeros(6))
-    x = Tensor(np.zeros(6))
+    h = Tensor(np.zeros((3, 6)))
+    c = Tensor(np.zeros((3, 6)))
+    x = Tensor(np.zeros((3, 6)))
     h2, c2 = lstm_step(tape, h, c, x, model.params)
-    np.testing.assert_array_equal(c2.data, np.zeros(6))
-    np.testing.assert_array_equal(h2.data, np.zeros(6))
+    np.testing.assert_array_equal(c2.data, np.zeros((3, 6)))
+    np.testing.assert_array_equal(h2.data, np.zeros((3, 6)))
 
 
 def test_single_step_gradients():
     for cell in ("gru", "lstm"):
         model = build_blind_rnn(tiny_config(cell=cell))
         rng = np.random.default_rng(4)
-        h = Tensor(rng.normal(size=6), requires_grad=True)
-        x = Tensor(rng.normal(size=6), requires_grad=True)
-        c = Tensor(rng.normal(size=6), requires_grad=True)
+        h = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+        c = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
         params = list(model.params.values()) + [h, x, c]
 
         def f(tape, cell=cell):

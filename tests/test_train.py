@@ -19,7 +19,6 @@ from imageqa.train import (
     cross_entropy,
     evaluate,
     fit,
-    predict_classes,
     sgd_step,
     validation_count,
 )
@@ -28,6 +27,10 @@ from tests.helpers import encoded_corpus, order_corpus, separable_corpus
 
 def uniform_scores(n, k):
     return Tensor(np.full((n, k), 1.0 / k))
+
+
+def predicted_classes(model, questions):
+    return np.argmax(model.forward(Tape(), questions, training=False).data, axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +229,7 @@ def test_fit_overfits_a_tiny_separable_corpus():
     assert reports[0].epoch == 1 and reports[-1].epoch == 60
     assert reports[-1].accuracy == 1.0
     assert reports[-1].loss < reports[0].loss
-    preds = predict_classes(model, questions)
+    preds = predicted_classes(model, questions)
     np.testing.assert_array_equal(preds, targets)
 
 
@@ -267,7 +270,7 @@ def test_validation_metrics_reflect_the_holdout():
     assert last.val_loss > 0.0
     # the held-out answers never appear in training, so they are unlearnable
     assert last.val_accuracy < 1.0
-    preds = predict_classes(model, questions[-2:])
+    preds = predicted_classes(model, questions[-2:])
     assert accuracy(preds, targets[-2:]) == last.val_accuracy
 
 
@@ -306,7 +309,7 @@ def test_evaluate_matches_manual_loss_and_accuracy():
     scores = model.forward(tape, questions, training=False)
     expected = cross_entropy(tape, scores, targets)
     assert abs(loss - float(expected.data)) < 1e-12
-    assert acc == accuracy(predict_classes(model, questions), targets)
+    assert acc == accuracy(predicted_classes(model, questions), targets)
 
 
 def test_recurrent_model_learns_token_order():
