@@ -11,7 +11,7 @@ Usage: python3 scripts/order_probe.py [--pairs N] [--epochs N]
 
 import argparse
 
-from imageqa.models import ModelConfig, build_blind_bow, build_blind_rnn
+from imageqa.models import ModelConfig, build_model
 from imageqa.textpipe import (
     PipelineConfig,
     build_vocabulary,
@@ -46,8 +46,9 @@ def encode(text, maxlen):
     return questions, targets, vocab_q, vocab_a
 
 
-def train(build, questions, targets, vocab_q, vocab_a, epochs, seed):
-    model = build(
+def train(kind, questions, targets, vocab_q, vocab_a, epochs, seed):
+    model = build_model(
+        kind,
         ModelConfig(
             input_dim=len(vocab_q),
             output_dim=len(vocab_a),
@@ -79,9 +80,9 @@ def main():
     print(f"{2 * args.pairs} questions, {len(vocab_a)} answers, "
           "every bag of tokens ambiguous\n")
 
-    bow = train(build_blind_bow, questions, targets, vocab_q, vocab_a,
+    bow = train("blind-bow", questions, targets, vocab_q, vocab_a,
                 args.epochs, args.seed)
-    rnn = train(build_blind_rnn, questions, targets, vocab_q, vocab_a,
+    rnn = train("blind-rnn", questions, targets, vocab_q, vocab_a,
                 args.epochs, args.seed)
 
     print(f"{'epoch':>5}  {'bow acc':>8}  {'gru acc':>8}")

@@ -14,18 +14,7 @@ from .errors import (
 )
 from .features import FeatureTable, align, l2_normalize, load_feature_table
 from .metrics import WupsConfig, parse_answer_set, set_accuracy, wups_corpus, wups_pair
-from .models import (
-    Model,
-    ModelConfig,
-    build_blind_bow,
-    build_blind_rnn,
-    build_model,
-    build_vision_bow,
-    build_vision_rnn,
-    decode_predictions,
-    gru_step,
-    lstm_step,
-)
+from .models import Model, ModelConfig, build_model, decode_predictions
 from .ontology import Lexicon, Taxonomy, parse_lexicon, parse_taxonomy, word_wup
 from .textpipe import (
     PipelineConfig,

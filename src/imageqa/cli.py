@@ -20,6 +20,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from . import features as feat
 from . import metrics, models, ontology, textpipe, train
 from .errors import ContractError, FormatError, ToolkitError
@@ -38,6 +40,13 @@ def _read_bytes(path: str) -> bytes:
         return Path(path).read_bytes()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_text(path: str) -> str:
+    try:
+        return textpipe._read_text(_read_bytes(path))
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _sha256(path: str) -> str:
@@ -112,7 +121,22 @@ def cmd_build_vocab(args: argparse.Namespace) -> int:
 
 
 def _load_vocab(path: str) -> textpipe.Vocabulary:
-    return textpipe.Vocabulary.parse(_read_bytes(path).decode("utf-8"))
+    return textpipe.Vocabulary.parse(_read_text(path))
+
+
+def _model_inputs(records: list[textpipe.QARecord], vocab_q: textpipe.Vocabulary,
+                  maxlen: int, features: str | None, l2_features: bool):
+    """Padded question indices, and the aligned feature rows when a feature
+    file is given (None otherwise)."""
+    questions = textpipe.pad_sequences(
+        textpipe.encode_questions([r.question for r in records], vocab_q), maxlen
+    )
+    if not features:
+        return questions, None
+    visual = feat.align(records, feat.load_feature_table(_read_bytes(features)))
+    if l2_features:
+        visual = feat.l2_normalize_rows(visual)
+    return questions, visual
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -128,27 +152,18 @@ def cmd_train(args: argparse.Namespace) -> int:
         only_first_answer_word=not args.whole_answer,
         answer_word_delimiter=args.delimiter,
     )
-    questions = textpipe.pad_sequences(
-        textpipe.encode_questions([r.question for r in records], vocab_q),
-        pipeline.maxlen,
+    questions, visual = _model_inputs(
+        records, vocab_q, pipeline.maxlen,
+        args.features if is_vision else None, args.l2_features,
     )
     targets = textpipe.encode_answers([r.answer for r in records], vocab_a, pipeline)
-
-    visual = None
-    visual_dim = 0
-    if is_vision:
-        table = feat.load_feature_table(_read_bytes(args.features))
-        visual = feat.align(records, table)
-        if args.l2_features:
-            visual = feat.l2_normalize_rows(visual)
-        visual_dim = table.dim
 
     config = models.ModelConfig(
         input_dim=len(vocab_q),
         output_dim=len(vocab_a),
         textual_embedding_dim=args.embed_dim,
         hidden_state_dim=args.hidden_dim,
-        visual_dim=visual_dim,
+        visual_dim=0 if visual is None else visual.shape[1],
         visual_embedding_dim=args.visual_embed_dim,
         multimodal_merge_mode=args.merge,
         cell=args.cell,
@@ -173,6 +188,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     inputs = questions if visual is None else (questions, visual)
     train.fit(model, inputs, targets, training, on_epoch=emit)
+    for name, tensor in model.params.items():
+        if not np.isfinite(tensor.data).all():
+            raise ContractError(
+                f"training left non-finite values in '{name}'; no checkpoint written"
+            )
 
     _atomic_write(args.out, models.format_checkpoint(model.params))
     log_path = args.out + ".log"
@@ -203,11 +223,22 @@ def cmd_predict(args: argparse.Namespace) -> int:
             f"no manifest at {manifest_path}; predict needs the training "
             "manifest next to the checkpoint to know the model kind"
         )
-    manifest = json.loads(_read_bytes(manifest_path).decode("utf-8"))
-    declared = dict(manifest.get("model", {}))
+    try:
+        manifest = json.loads(_read_text(manifest_path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{manifest_path} is not valid JSON: {exc}") from None
+    declared = manifest.get("model") if isinstance(manifest, dict) else None
+    if not isinstance(declared, dict):
+        raise ContractError(f"{manifest_path} has no 'model' object")
     kind = declared.pop("kind", None)
     if kind not in models.MODEL_KINDS:
         raise ContractError(f"manifest declares unknown model kind '{kind}'")
+    fields = {f.name for f in dataclasses.fields(models.ModelConfig)}
+    unknown, missing = sorted(set(declared) - fields), sorted(fields - set(declared))
+    if unknown:
+        raise ContractError(f"{manifest_path}: unknown model key '{unknown[0]}'")
+    if missing:
+        raise ContractError(f"{manifest_path}: missing model key '{missing[0]}'")
     config = models.ModelConfig(**declared)
     pipeline_info = manifest.get("pipeline", {})
 
@@ -225,9 +256,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         )
 
     model = models.build_model(kind, config)
-    models.load_checkpoint(
-        model, models.parse_checkpoint(_read_bytes(args.checkpoint).decode("utf-8"))
-    )
+    models.load_checkpoint(model, models.parse_checkpoint(_read_text(args.checkpoint)))
 
     records = textpipe.parse_triple_file(_read_bytes(args.test))
     if not records:
@@ -238,20 +267,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
         )
         return 0
 
-    maxlen = int(pipeline_info.get("maxlen", 30))
-    questions = textpipe.pad_sequences(
-        textpipe.encode_questions([r.question for r in records], vocab_q), maxlen
-    )
-    visual = None
     inputs_list = [args.checkpoint, args.test, args.vocab_q, args.vocab_a]
     if model.is_vision:
         if not args.features:
             raise UsageError(f"--features is required for model '{kind}'")
-        table = feat.load_feature_table(_read_bytes(args.features))
-        visual = feat.align(records, table)
-        if pipeline_info.get("l2_features"):
-            visual = feat.l2_normalize_rows(visual)
         inputs_list.append(args.features)
+    questions, visual = _model_inputs(
+        records, vocab_q, int(pipeline_info.get("maxlen", 30)),
+        args.features if model.is_vision else None,
+        bool(pipeline_info.get("l2_features")),
+    )
 
     words = models.decode_predictions(
         model, questions, visual, index2word=vocab_a.index2word
@@ -262,7 +287,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _read_answer_lines(path: str) -> list[str]:
-    return _read_bytes(path).decode("utf-8").splitlines()
+    return _read_text(path).splitlines()
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

@@ -34,7 +34,9 @@ class FeatureTable:
 
 
 def load_feature_table(source) -> FeatureTable:
-    """Parse a feature CSV; the first row fixes the dimensionality."""
+    """Parse a feature CSV; the first row fixes the dimensionality.  Every
+    value must be finite: a nan or inf would poison every parameter it
+    reaches."""
     lines = _read_text(source).split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
@@ -55,6 +57,8 @@ def load_feature_table(source) -> FeatureTable:
             values = np.asarray([float(v) for v in raw], dtype=np.float64)
         except ValueError:
             raise FormatError(f"non-numeric feature value on line {lineno}")
+        if not np.isfinite(values).all():
+            raise FormatError(f"non-finite feature value on line {lineno}")
         if dim < 0:
             dim = values.size
         elif values.size != dim:

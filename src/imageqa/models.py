@@ -18,8 +18,8 @@ trained.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -119,20 +119,9 @@ def _validate_config(kind: str, config: ModelConfig) -> int:
     return lang
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def _init_cell(rng: np.random.Generator, cell: str, d_in: int, d_h: int,
-               params: dict[str, Tensor]) -> None:
-    gates = ("z", "r", "h") if cell == "gru" else ("i", "f", "o", "g")
-    for gate in gates:
-        params[f"rnn.w_{gate}"] = Tensor(_glorot(rng, d_in, d_h, (d_in, d_h)), True)
-        params[f"rnn.u_{gate}"] = Tensor(_glorot(rng, d_h, d_h, (d_h, d_h)), True)
-        # forget gate starts open so early training does not erase the cell
-        bias = np.ones(d_h) if gate == "f" else np.zeros(d_h)
-        params[f"rnn.b_{gate}"] = Tensor(bias, True)
+def _glorot(rng: np.random.Generator, d_in: int, d_out: int) -> Tensor:
+    limit = math.sqrt(6.0 / (d_in + d_out))
+    return Tensor(rng.uniform(-limit, limit, size=(d_in, d_out)), True)
 
 
 def _gate(tape: Tape, x: Tensor, h: Tensor, params: Mapping[str, Tensor],
@@ -184,7 +173,7 @@ class Model:
     kind: str
     config: ModelConfig
     params: dict[str, Tensor]
-    merged_dim: int = field(default=0)
+    merged_dim: int = 0
 
     @property
     def is_vision(self) -> bool:
@@ -291,90 +280,27 @@ class Model:
         return tape.softmax(logits)
 
 
-def _finish(kind: str, config: ModelConfig, rng: np.random.Generator,
-            params: dict[str, Tensor], merged_dim: int) -> Model:
-    params["classifier.weight"] = Tensor(
-        _glorot(rng, merged_dim, config.output_dim, (merged_dim, config.output_dim)),
-        True,
-    )
+def build_model(kind: str, config: ModelConfig) -> Model:
+    """Draw a model's parameters from ``config.seed`` in a fixed order: the
+    embedding, the cell gates (``*-rnn``), the visual re-embedding (``vl-*``
+    with ``visual_embedding_dim`` > 0), then the classifier."""
+    merged_dim = _validate_config(kind, config)
+    rng = np.random.default_rng(config.seed)
+    params = {"embedding": _glorot(rng, config.input_dim, config.textual_embedding_dim)}
+    if kind.endswith("rnn"):
+        d_in, d_h = config.textual_embedding_dim, config.hidden_state_dim
+        for gate in ("z", "r", "h") if config.cell == "gru" else ("i", "f", "o", "g"):
+            params[f"rnn.w_{gate}"] = _glorot(rng, d_in, d_h)
+            params[f"rnn.u_{gate}"] = _glorot(rng, d_h, d_h)
+            # forget gate starts open so early training does not erase the cell
+            bias = np.ones(d_h) if gate == "f" else np.zeros(d_h)
+            params[f"rnn.b_{gate}"] = Tensor(bias, True)
+    if kind.startswith("vl") and config.visual_embedding_dim > 0:
+        params["visual.weight"] = _glorot(rng, config.visual_dim, config.visual_embedding_dim)
+        params["visual.bias"] = Tensor(np.zeros(config.visual_embedding_dim), True)
+    params["classifier.weight"] = _glorot(rng, merged_dim, config.output_dim)
     params["classifier.bias"] = Tensor(np.zeros(config.output_dim), True)
     return Model(kind=kind, config=config, params=params, merged_dim=merged_dim)
-
-
-def _start(kind: str, config: ModelConfig, rng) -> tuple[np.random.Generator, dict, int]:
-    merged = _validate_config(kind, config)
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-    params: dict[str, Tensor] = {
-        "embedding": Tensor(
-            _glorot(
-                rng,
-                config.input_dim,
-                config.textual_embedding_dim,
-                (config.input_dim, config.textual_embedding_dim),
-            ),
-            True,
-        )
-    }
-    return rng, params, merged
-
-
-def _add_visual(config: ModelConfig, rng, params) -> None:
-    if config.visual_embedding_dim > 0:
-        params["visual.weight"] = Tensor(
-            _glorot(
-                rng,
-                config.visual_dim,
-                config.visual_embedding_dim,
-                (config.visual_dim, config.visual_embedding_dim),
-            ),
-            True,
-        )
-        params["visual.bias"] = Tensor(np.zeros(config.visual_embedding_dim), True)
-
-
-def build_blind_bow(config: ModelConfig, rng=None) -> Model:
-    """Embedding -> masked temporal average -> dropout -> dense -> softmax."""
-    rng, params, merged = _start("blind-bow", config, rng)
-    return _finish("blind-bow", config, rng, params, merged)
-
-
-def build_blind_rnn(config: ModelConfig, rng=None) -> Model:
-    """Embedding -> GRU/LSTM over unpadded steps -> dropout -> dense -> softmax."""
-    rng, params, merged = _start("blind-rnn", config, rng)
-    _init_cell(rng, config.cell, config.textual_embedding_dim,
-               config.hidden_state_dim, params)
-    return _finish("blind-rnn", config, rng, params, merged)
-
-
-def build_vision_bow(config: ModelConfig, rng=None) -> Model:
-    """blind-bow language branch merged with the (optionally re-embedded)
-    visual branch before the classifier."""
-    rng, params, merged = _start("vl-bow", config, rng)
-    _add_visual(config, rng, params)
-    return _finish("vl-bow", config, rng, params, merged)
-
-
-def build_vision_rnn(config: ModelConfig, rng=None) -> Model:
-    """blind-rnn language branch merged with the visual branch."""
-    rng, params, merged = _start("vl-rnn", config, rng)
-    _init_cell(rng, config.cell, config.textual_embedding_dim,
-               config.hidden_state_dim, params)
-    _add_visual(config, rng, params)
-    return _finish("vl-rnn", config, rng, params, merged)
-
-
-_BUILDERS = {
-    "blind-bow": build_blind_bow,
-    "blind-rnn": build_blind_rnn,
-    "vl-bow": build_vision_bow,
-    "vl-rnn": build_vision_rnn,
-}
-
-
-def build_model(kind: str, config: ModelConfig, rng=None) -> Model:
-    if kind not in _BUILDERS:
-        raise ConfigurationError(f"unknown model kind '{kind}'")
-    return _BUILDERS[kind](config, rng)
 
 
 def decode_predictions(
@@ -424,6 +350,8 @@ def parse_checkpoint(text: str) -> dict[str, np.ndarray]:
             raise FormatError(
                 f"tensor '{name}' declares shape {dims} but has {values.size} values"
             )
+        if not np.isfinite(values).all():
+            raise FormatError(f"tensor '{name}' holds non-finite values")
         if name in arrays:
             raise FormatError(f"duplicate tensor '{name}' at line {i + 1}")
         arrays[name] = values.reshape(dims)

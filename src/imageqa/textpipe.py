@@ -36,18 +36,12 @@ class PipelineConfig:
     """Knobs for turning raw records into index arrays."""
 
     maxlen: int = 30
-    truncate_to_most_frequent: int = 0
     only_first_answer_word: bool = True
     answer_word_delimiter: str = ", "
-    keep_top_qa_pairs: int = 0
 
     def __post_init__(self):
         if self.maxlen < 1:
             raise ConfigurationError(f"maxlen must be >= 1, got {self.maxlen}")
-        if self.truncate_to_most_frequent < 0:
-            raise ConfigurationError("truncate_to_most_frequent must be >= 0")
-        if self.keep_top_qa_pairs < 0:
-            raise ConfigurationError("keep_top_qa_pairs must be >= 0")
 
 
 class Vocabulary:

@@ -168,7 +168,9 @@ def fit(
     """Train in place and return one report per epoch.
 
     The held-out tail only ever flows through dropout-free evaluation
-    passes, so its values cannot influence the parameter trajectory.
+    passes, so its values cannot influence the parameter trajectory.  A
+    non-finite batch loss stops training with a ContractError before its
+    gradient reaches the parameters.
     """
     questions, visual = _split_inputs(inputs)
     idx = np.asarray(targets, dtype=np.int64)
@@ -211,10 +213,16 @@ def fit(
                 rng=rng,
             )
             loss = cross_entropy(tape, scores, idx[sel])
+            step += 1
+            loss_value = float(loss.data)
+            if not math.isfinite(loss_value):
+                raise ContractError(
+                    f"training diverged: loss is {loss_value} at epoch {epoch}, "
+                    f"step {step}"
+                )
             for tensor in model.params.values():
                 tensor.zero_grad()
             tape.backward(loss)
-            step += 1
             if state is None:
                 sgd_step(model.params, lr)
             else:
@@ -222,7 +230,7 @@ def fit(
                     model.params, state, step, lr,
                     config.beta1, config.beta2, config.epsilon,
                 )
-            loss_total += float(loss.data) * len(sel)
+            loss_total += loss_value * len(sel)
 
         def bundle(sl):
             q = questions[sl]

@@ -23,7 +23,7 @@ from imageqa.metrics import (
     wups_corpus,
     wups_pair,
 )
-from imageqa.models import ModelConfig, build_blind_bow, build_blind_rnn, build_model
+from imageqa.models import ModelConfig, build_model
 from imageqa.ontology import parse_lexicon, parse_taxonomy
 from imageqa.train import TrainingConfig, cross_entropy, fit
 from tests.helpers import (
@@ -134,8 +134,9 @@ def test_04_word_order_separates_the_encoders():
     text = order_corpus(pairs=10)
     questions, targets, vocab_a, vocab_q = encoded_corpus(text, maxlen=4)
 
-    def run(build, seed, epochs):
-        model = build(
+    def run(kind, seed, epochs):
+        model = build_model(
+            kind,
             ModelConfig(
                 input_dim=len(vocab_q),
                 output_dim=len(vocab_a),
@@ -156,8 +157,8 @@ def test_04_word_order_separates_the_encoders():
 
     # every record is order-ambiguous for a bag: the two readings of each
     # token pair are equally frequent, so 0.5 is the analytic bag ceiling
-    bow_acc = run(build_blind_bow, seed=11, epochs=120)
-    rnn_acc = run(build_blind_rnn, seed=11, epochs=300)
+    bow_acc = run("blind-bow", seed=11, epochs=120)
+    rnn_acc = run("blind-rnn", seed=11, epochs=300)
     elapsed = time.monotonic() - started
     report(
         4,
@@ -172,7 +173,8 @@ def test_05_overfit_fixture_is_learnable_and_deterministic():
     questions, targets, vocab_a, vocab_q = encoded_corpus(text, maxlen=6)
 
     def run():
-        model = build_blind_bow(
+        model = build_model(
+            "blind-bow",
             ModelConfig(
                 input_dim=len(vocab_q),
                 output_dim=len(vocab_a),

@@ -349,3 +349,143 @@ def test_eval_soft_metric_without_ontology_exits_two(workdir, capsys):
     )
     assert code == 2
     capsys.readouterr()
+
+
+# ----------------------------------------------------------------------
+# bad inputs: a documented exit code and message, no traceback, no output
+
+
+def train_argv(workdir, *extra):
+    vq, va = build_vocabs(workdir)
+    return (
+        "train",
+        "--train", workdir / "train.txt",
+        "--vocab-q", vq, "--vocab-a", va,
+        "--maxlen", 6, "--embed-dim", 8, "--batch", 10,
+        "--dropout", 0, "--val-split", 0, "--seed", 7,
+        "--out", workdir / "bad.ckpt",
+        *extra,
+    )
+
+
+def predict_argv(workdir):
+    code, ckpt = train_blind(workdir)
+    assert code == 0
+    return (
+        "predict",
+        "--checkpoint", ckpt,
+        "--test", workdir / "train.txt",
+        "--vocab-q", workdir / "vocab_q.txt",
+        "--vocab-a", workdir / "vocab_a.txt",
+        "--out", workdir / "pred.txt",
+    )
+
+
+def features_with(workdir, value):
+    """Feature line 4 gets ``value`` as its first entry."""
+    path = workdir / "features.txt"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[3] = "img3," + value + "," + lines[3].split(",", 2)[2]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return train_argv(workdir, "--model", "vl-bow", "--features", path)
+
+
+def diverging_run(workdir):
+    return train_argv(
+        workdir, "--model", "blind-bow", "--optimizer", "sgd", "--lr", "1e300",
+        "--epochs", 3,
+    )
+
+
+def overflowing_last_step(workdir):
+    # one step whose update overflows classifier.weight; its loss was finite
+    (workdir / "features.txt").write_text(
+        "".join(f"img{i},5,5,5,5\n" for i in range(10)), encoding="utf-8"
+    )
+    return train_argv(
+        workdir, "--model", "vl-bow", "--features", workdir / "features.txt",
+        "--optimizer", "sgd", "--lr", "1.7e308", "--epochs", 1,
+    )
+
+
+def nan_in_checkpoint(workdir):
+    argv = predict_argv(workdir)
+    ckpt = workdir / "model.ckpt"
+    lines = ckpt.read_text(encoding="utf-8").split("\n")
+    lines[1] = "nan " + lines[1].split(" ", 1)[1]  # the first embedding value
+    ckpt.write_text("\n".join(lines), encoding="utf-8")
+    return argv
+
+
+def edit_manifest(edit):
+    def setup(workdir):
+        argv = predict_argv(workdir)
+        path = workdir / "model.ckpt.manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        edit(manifest)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        return argv
+    return setup
+
+
+def truncated_manifest(workdir):
+    argv = predict_argv(workdir)
+    path = workdir / "model.ckpt.manifest.json"
+    path.write_text(path.read_text(encoding="utf-8")[:40], encoding="utf-8")
+    return argv
+
+
+def not_utf8(name):
+    def setup(workdir):
+        argv = predict_argv(workdir)
+        (workdir / name).write_bytes(b"\xff\xfe bad\n")
+        return argv
+    return setup
+
+
+def answers_not_utf8(workdir):
+    write_answers(workdir / "t.txt", ["dog"])
+    (workdir / "p.txt").write_bytes(b"\xffdog\n")
+    return (
+        "eval", "--pred", workdir / "p.txt", "--truth", workdir / "t.txt",
+        "--metric", "acc",
+    )
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize(
+    "setup, code, needle",
+    [
+        (lambda w: features_with(w, "nan"), 3, "line 4"),
+        (lambda w: features_with(w, "inf"), 3, "line 4"),
+        (diverging_run, 4, "epoch 2, step 2"),
+        (overflowing_last_step, 4, "'classifier.weight'"),
+        (nan_in_checkpoint, 3, "'embedding'"),
+        (edit_manifest(lambda m: m["model"].update(depth=2)), 4, "'depth'"),
+        (edit_manifest(lambda m: m["model"].pop("seed")), 4, "'seed'"),
+        (edit_manifest(lambda m: m.update(model="blind-bow")), 4, "'model'"),
+        (truncated_manifest, 3, "model.ckpt.manifest.json"),
+        (not_utf8("vocab_q.txt"), 3, "vocab_q.txt"),
+        (not_utf8("model.ckpt"), 3, "model.ckpt"),
+        (not_utf8("model.ckpt.manifest.json"), 3, "model.ckpt.manifest.json"),
+        (answers_not_utf8, 3, "p.txt"),
+    ],
+    ids=[
+        "feature-nan", "feature-inf", "diverged-loss", "non-finite-parameters",
+        "checkpoint-nan", "manifest-extra-key", "manifest-missing-key",
+        "manifest-model-not-object", "manifest-bad-json", "vocab-not-utf8", "checkpoint-not-utf8",
+        "manifest-not-utf8", "answers-not-utf8",
+    ],
+)
+def test_bad_input_exits_with_its_code_and_writes_nothing(
+    workdir, capsys, setup, code, needle
+):
+    argv = setup(workdir)
+    before = sorted(p.name for p in workdir.iterdir())
+    capsys.readouterr()
+    assert run(*argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert needle in err
+    assert sorted(p.name for p in workdir.iterdir()) == before

@@ -13,11 +13,7 @@ from imageqa.errors import (
 from imageqa.models import (
     Model,
     ModelConfig,
-    build_blind_bow,
-    build_blind_rnn,
     build_model,
-    build_vision_bow,
-    build_vision_rnn,
     decode_predictions,
     format_checkpoint,
     gru_step,
@@ -47,16 +43,16 @@ def tiny_config(**kw):
 
 def all_models():
     visual = np.random.default_rng(1).normal(size=(2, 4))
-    yield build_blind_bow(tiny_config()), None
-    yield build_blind_rnn(tiny_config(cell="gru")), None
-    yield build_blind_rnn(tiny_config(cell="lstm")), None
+    yield build_model("blind-bow", tiny_config()), None
+    yield build_model("blind-rnn", tiny_config(cell="gru")), None
+    yield build_model("blind-rnn", tiny_config(cell="lstm")), None
     for merge, dv in [("concat", 0), ("mul", 6), ("sum", 6), ("ave", 6)]:
         cfg = tiny_config(
             visual_dim=4, visual_embedding_dim=dv, multimodal_merge_mode=merge
         )
-        yield build_vision_bow(cfg), visual
+        yield build_model("vl-bow", cfg), visual
     cfg = tiny_config(visual_dim=4, visual_embedding_dim=6, multimodal_merge_mode="sum")
-    yield build_vision_rnn(cfg), visual
+    yield build_model("vl-rnn", cfg), visual
 
 
 # ----------------------------------------------------------------------
@@ -73,7 +69,7 @@ def test_score_rows_sum_to_one_for_every_kind():
 
 
 def test_blind_bow_is_permutation_invariant_over_real_tokens():
-    model = build_blind_bow(tiny_config())
+    model = build_model("blind-bow", tiny_config())
     tape = Tape()
     a = model.forward(tape, np.array([[0, 2, 3, 4]]), training=False)
     b = model.forward(tape, np.array([[0, 4, 2, 3]]), training=False)
@@ -81,7 +77,7 @@ def test_blind_bow_is_permutation_invariant_over_real_tokens():
 
 
 def test_blind_rnn_is_order_sensitive():
-    model = build_blind_rnn(tiny_config(cell="gru"))
+    model = build_model("blind-rnn", tiny_config(cell="gru"))
     tape = Tape()
     a = model.language_vectors(tape, np.array([[2, 3]]))
     b = model.language_vectors(tape, np.array([[3, 2]]))
@@ -129,7 +125,7 @@ def test_out_of_range_index_raises_for_every_kind():
 
 
 def test_bow_average_is_the_mean_of_the_real_token_rows():
-    model = build_blind_bow(tiny_config())
+    model = build_model("blind-bow", tiny_config())
     table = model.params["embedding"].data
     # pads anywhere in the row are left out, repeated tokens count twice
     vectors = model.language_vectors(Tape(), np.array([[0, 2, 0, 5, 2], [0, 0, 0, 0, 6]]))
@@ -152,12 +148,12 @@ def test_each_row_encodes_as_it_would_alone():
 def test_a_batch_tiled_eight_times_records_as_many_tape_nodes():
     # the encoders compute the whole batch at once: the tape grows with the
     # number of time steps, never with the number of rows
-    for cfg, build in [
-        (tiny_config(), build_blind_bow),
-        (tiny_config(cell="gru"), build_blind_rnn),
-        (tiny_config(cell="lstm"), build_blind_rnn),
+    for cfg, kind in [
+        (tiny_config(), "blind-bow"),
+        (tiny_config(cell="gru"), "blind-rnn"),
+        (tiny_config(cell="lstm"), "blind-rnn"),
     ]:
-        model = build(cfg)
+        model = build_model(kind, cfg)
         once, tiled = Tape(), Tape()
         model.forward(once, QUESTIONS, training=False)
         model.forward(tiled, np.tile(QUESTIONS, (8, 1)), training=False)
@@ -165,8 +161,8 @@ def test_a_batch_tiled_eight_times_records_as_many_tape_nodes():
 
 
 def test_same_seed_builds_bitwise_identical_parameters():
-    a = build_blind_rnn(tiny_config(cell="lstm"))
-    b = build_blind_rnn(tiny_config(cell="lstm"))
+    a = build_model("blind-rnn", tiny_config(cell="lstm"))
+    b = build_model("blind-rnn", tiny_config(cell="lstm"))
     for name in a.params:
         assert a.params[name].data.tobytes() == b.params[name].data.tobytes()
 
@@ -175,7 +171,7 @@ def test_visual_features_carry_no_gradient_and_stay_unchanged():
     visual = np.random.default_rng(2).normal(size=(2, 4))
     snapshot = visual.tobytes()
     cfg = tiny_config(visual_dim=4, visual_embedding_dim=6, multimodal_merge_mode="mul")
-    model = build_vision_bow(cfg)
+    model = build_model("vl-bow", cfg)
     tape = Tape()
     loss = cross_entropy(
         tape, model.forward(tape, QUESTIONS, visual, training=False), TARGETS
@@ -188,11 +184,11 @@ def test_visual_features_carry_no_gradient_and_stay_unchanged():
 
 
 def test_blind_model_rejects_visual_and_vision_requires_it():
-    blind = build_blind_bow(tiny_config())
+    blind = build_model("blind-bow", tiny_config())
     with pytest.raises(ContractError):
         blind.forward(Tape(), QUESTIONS, np.zeros((2, 4)), training=False)
     vis_cfg = tiny_config(visual_dim=4, multimodal_merge_mode="concat")
-    vision = build_vision_bow(vis_cfg)
+    vision = build_model("vl-bow", vis_cfg)
     with pytest.raises(ContractError):
         vision.forward(Tape(), QUESTIONS, training=False)
     with pytest.raises(DimensionError):
@@ -209,7 +205,7 @@ def zero_params(model: Model):
 
 
 def test_gru_zero_weights_keep_zero_state():
-    model = build_blind_rnn(tiny_config(cell="gru"))
+    model = build_model("blind-rnn", tiny_config(cell="gru"))
     zero_params(model)
     tape = Tape()
     state = model.language_vectors(tape, np.array([[2, 3, 4]]))
@@ -220,7 +216,7 @@ def test_gru_zero_weights_keep_zero_state():
 
 
 def test_lstm_zero_weights_forget_bias_keeps_zero_cell():
-    model = build_blind_rnn(tiny_config(cell="lstm"))
+    model = build_model("blind-rnn", tiny_config(cell="lstm"))
     zero_params(model)
     model.params["rnn.b_f"].data[...] = 1.0  # the documented init
     tape = Tape()
@@ -234,7 +230,7 @@ def test_lstm_zero_weights_forget_bias_keeps_zero_cell():
 
 def test_single_step_gradients():
     for cell in ("gru", "lstm"):
-        model = build_blind_rnn(tiny_config(cell=cell))
+        model = build_model("blind-rnn", tiny_config(cell=cell))
         rng = np.random.default_rng(4)
         h = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
         x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
@@ -252,7 +248,7 @@ def test_single_step_gradients():
 
 
 def test_lstm_forget_bias_initialised_to_one():
-    model = build_blind_rnn(tiny_config(cell="lstm"))
+    model = build_model("blind-rnn", tiny_config(cell="lstm"))
     np.testing.assert_array_equal(model.params["rnn.b_f"].data, np.ones(6))
     np.testing.assert_array_equal(model.params["rnn.b_i"].data, np.zeros(6))
 
@@ -266,11 +262,11 @@ def test_equal_width_rule_fails_at_build_time():
         cfg = tiny_config(visual_dim=4, visual_embedding_dim=0,
                           multimodal_merge_mode=merge)
         with pytest.raises(ConfigurationError):
-            build_vision_bow(cfg)  # language 6 vs visual 4
+            build_model("vl-bow", cfg)  # language 6 vs visual 4
         rnn_cfg = tiny_config(hidden_state_dim=8, visual_dim=4,
                               visual_embedding_dim=6, multimodal_merge_mode=merge)
         with pytest.raises(ConfigurationError):
-            build_vision_rnn(rnn_cfg)  # language 8 vs visual 6
+            build_model("vl-rnn", rnn_cfg)  # language 8 vs visual 6
 
 
 def test_concat_width_is_the_sum_of_branches():
@@ -279,7 +275,7 @@ def test_concat_width_is_the_sum_of_branches():
             textual_embedding_dim=d_lang, visual_dim=d_vis,
             visual_embedding_dim=dv, multimodal_merge_mode="concat",
         )
-        model = build_vision_bow(cfg)
+        model = build_model("vl-bow", cfg)
         expected = d_lang + (dv if dv > 0 else d_vis)
         assert model.merged_dim == expected
         assert model.params["classifier.weight"].shape == (expected, 5)
@@ -288,8 +284,9 @@ def test_concat_width_is_the_sum_of_branches():
 def test_sum_merge_with_zero_visual_equals_blind_scores():
     # same seed and same draw order: with no visual dense layer the two
     # models hold identical parameters, so zero features must cancel out
-    blind = build_blind_bow(tiny_config())
-    fused = build_vision_bow(
+    blind = build_model("blind-bow", tiny_config())
+    fused = build_model(
+        "vl-bow",
         tiny_config(visual_dim=6, visual_embedding_dim=0, multimodal_merge_mode="sum")
     )
     for name in blind.params:
@@ -302,7 +299,7 @@ def test_sum_merge_with_zero_visual_equals_blind_scores():
 def test_ave_merge_is_the_elementwise_mean():
     cfg = tiny_config(visual_dim=6, visual_embedding_dim=0,
                       multimodal_merge_mode="ave")
-    model = build_vision_bow(cfg)
+    model = build_model("vl-bow", cfg)
     visual = np.random.default_rng(5).normal(size=(2, 6))
     lang = model.language_vectors(Tape(), QUESTIONS)
     merged = 0.5 * (lang.data + visual)
@@ -318,15 +315,15 @@ def test_unknown_kind_and_bad_configs():
     with pytest.raises(ConfigurationError):
         build_model("deep-fusion", tiny_config())
     with pytest.raises(ConfigurationError):
-        build_blind_bow(tiny_config(input_dim=1))
+        build_model("blind-bow", tiny_config(input_dim=1))
     with pytest.raises(ConfigurationError):
-        build_blind_bow(tiny_config(dropout_rate=1.0))
+        build_model("blind-bow", tiny_config(dropout_rate=1.0))
     with pytest.raises(ConfigurationError):
-        build_blind_rnn(tiny_config(cell="tanh-rnn"))
+        build_model("blind-rnn", tiny_config(cell="tanh-rnn"))
     with pytest.raises(ConfigurationError):
-        build_vision_bow(tiny_config(visual_dim=0))
+        build_model("vl-bow", tiny_config(visual_dim=0))
     with pytest.raises(ConfigurationError):
-        build_vision_bow(tiny_config(visual_dim=4, multimodal_merge_mode="stack"))
+        build_model("vl-bow", tiny_config(visual_dim=4, multimodal_merge_mode="stack"))
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +331,7 @@ def test_unknown_kind_and_bad_configs():
 
 
 def test_decode_takes_the_best_class_and_breaks_ties_low():
-    model = build_blind_bow(tiny_config())
+    model = build_model("blind-bow", tiny_config())
     # force known scores: zero everything, bias picks the winner
     zero_params(model)
     model.params["classifier.bias"].data[:] = [0.0, 2.0, 0.0, 2.0, 0.0]
@@ -345,13 +342,13 @@ def test_decode_takes_the_best_class_and_breaks_ties_low():
 
 
 def test_decode_empty_batch_is_empty():
-    model = build_blind_bow(tiny_config())
+    model = build_model("blind-bow", tiny_config())
     assert decode_predictions(model, np.zeros((0, 4)), index2word={}) == []
 
 
 def test_bow_sum_pooling_scales_the_average():
-    avg = build_blind_bow(tiny_config())
-    summed = build_blind_bow(tiny_config(bow_pooling="sum"))
+    avg = build_model("blind-bow", tiny_config())
+    summed = build_model("blind-bow", tiny_config(bow_pooling="sum"))
     tape = Tape()
     a = avg.language_vectors(tape, np.array([[0, 2, 3]]))
     s = summed.language_vectors(tape, np.array([[0, 2, 3]]))
@@ -377,9 +374,9 @@ def test_checkpoint_round_trip_is_bitwise():
 
 
 def test_checkpoint_mismatch_is_rejected():
-    model = build_blind_bow(tiny_config())
+    model = build_model("blind-bow", tiny_config())
     arrays = parse_checkpoint(format_checkpoint(model.params))
-    other = build_blind_bow(tiny_config(textual_embedding_dim=9))
+    other = build_model("blind-bow", tiny_config(textual_embedding_dim=9))
     with pytest.raises(ContractError):
         load_checkpoint(other, arrays)
     del arrays["embedding"]

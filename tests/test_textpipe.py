@@ -279,5 +279,3 @@ def test_decode_of_encode_round_trips_in_vocabulary_tokens(tokens):
 def test_pipeline_config_validation():
     with pytest.raises(ConfigurationError):
         PipelineConfig(maxlen=0)
-    with pytest.raises(ConfigurationError):
-        PipelineConfig(truncate_to_most_frequent=-1)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from imageqa.autodiff import Tape, Tensor
 from imageqa.errors import ConfigurationError, ContractError
-from imageqa.models import ModelConfig, build_blind_bow, build_blind_rnn
+from imageqa.models import ModelConfig, build_model
 from imageqa.train import (
     AdamState,
     EpochReport,
@@ -153,7 +153,7 @@ def test_single_sgd_step_decreases_the_loss():
         dropout_rate=0.0,
         seed=3,
     )
-    model = build_blind_bow(cfg)
+    model = build_model("blind-bow", cfg)
 
     def loss_now():
         tape = Tape()
@@ -201,7 +201,7 @@ def training_fixture(pairs=6, seed=5, **overrides):
         dropout_rate=overrides.pop("dropout_rate", 0.0),
         seed=seed,
     )
-    model = build_blind_bow(cfg)
+    model = build_model("blind-bow", cfg)
     config = TrainingConfig(
         optimizer="adam",
         learning_rate=overrides.pop("learning_rate", 0.01),
@@ -323,7 +323,7 @@ def test_recurrent_model_learns_token_order():
         dropout_rate=0.0,
         seed=11,
     )
-    model = build_blind_rnn(cfg)
+    model = build_model("blind-rnn", cfg)
     config = TrainingConfig(
         optimizer="adam", learning_rate=0.01, epochs=60, batch_size=8, seed=11
     )
