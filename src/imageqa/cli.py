@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -187,7 +188,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(report.line())
 
     inputs = questions if visual is None else (questions, visual)
-    train.fit(model, inputs, targets, training, on_epoch=emit)
+    # a diverging run overflows on the way; the finite checks in fit and
+    # below report it, so numpy's own warnings would only come first
+    with np.errstate(over="ignore", invalid="ignore"):
+        train.fit(model, inputs, targets, training, on_epoch=emit)
     for name, tensor in model.params.items():
         if not np.isfinite(tensor.data).all():
             raise ContractError(
@@ -239,8 +243,30 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ContractError(f"{manifest_path}: unknown model key '{unknown[0]}'")
     if missing:
         raise ContractError(f"{manifest_path}: missing model key '{missing[0]}'")
+    hints = typing.get_type_hints(models.ModelConfig)
+    for key, value in declared.items():
+        want = (int, float) if hints[key] is float else hints[key]
+        if isinstance(value, bool) or not isinstance(value, want):
+            raise ContractError(
+                f"{manifest_path}: model key '{key}' must be "
+                f"{hints[key].__name__}, got {value!r}"
+            )
     config = models.ModelConfig(**declared)
-    pipeline_info = manifest.get("pipeline", {})
+    pipeline_info = manifest.get("pipeline")
+    if not isinstance(pipeline_info, dict):
+        raise ContractError(f"{manifest_path} has no 'pipeline' object")
+    maxlen = pipeline_info.get("maxlen")
+    if isinstance(maxlen, bool) or not isinstance(maxlen, int) or maxlen < 1:
+        raise ContractError(
+            f"{manifest_path}: pipeline key 'maxlen' must be an int >= 1, "
+            f"got {maxlen!r}"
+        )
+    l2_features = pipeline_info.get("l2_features")
+    if not isinstance(l2_features, bool):
+        raise ContractError(
+            f"{manifest_path}: pipeline key 'l2_features' must be a bool, "
+            f"got {l2_features!r}"
+        )
 
     vocab_q = _load_vocab(args.vocab_q)
     vocab_a = _load_vocab(args.vocab_a)
@@ -256,7 +282,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
         )
 
     model = models.build_model(kind, config)
-    models.load_checkpoint(model, models.parse_checkpoint(_read_text(args.checkpoint)))
+    text = _read_text(args.checkpoint)
+    try:
+        arrays = models.parse_checkpoint(text)
+    except FormatError as exc:
+        raise FormatError(f"{args.checkpoint}: {exc}") from None
+    models.load_checkpoint(model, arrays)
 
     records = textpipe.parse_triple_file(_read_bytes(args.test))
     if not records:
@@ -273,9 +304,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
             raise UsageError(f"--features is required for model '{kind}'")
         inputs_list.append(args.features)
     questions, visual = _model_inputs(
-        records, vocab_q, int(pipeline_info.get("maxlen", 30)),
-        args.features if model.is_vision else None,
-        bool(pipeline_info.get("l2_features")),
+        records, vocab_q, maxlen, args.features if model.is_vision else None,
+        l2_features,
     )
 
     words = models.decode_predictions(

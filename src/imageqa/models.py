@@ -17,6 +17,7 @@ trained.
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -96,6 +97,8 @@ def _validate_config(kind: str, config: ModelConfig) -> int:
         raise ConfigurationError(
             f"dropout_rate must be in [0, 1), got {config.dropout_rate}"
         )
+    if config.seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {config.seed}")
     lang = _language_dim(kind, config)
     if not kind.startswith("vl"):
         return lang
@@ -317,44 +320,67 @@ def decode_predictions(
 
 
 # ----------------------------------------------------------------------
-# checkpoints: pairs of lines, a "name dims..." header then the flat values
+# checkpoints, format v2: the magic line, then for each tensor a
+# "name dims..." header line and a payload line holding the base64 of its
+# little-endian float64 bytes.  Base64 keeps the file ASCII text, so it can be
+# written and read as a str; it has no timestamps, so the same parameters
+# always give the same bytes.
+
+CHECKPOINT_MAGIC = "imageqa-checkpoint 2"
 
 
 def format_checkpoint(params: Mapping[str, Tensor]) -> str:
-    lines = []
+    lines = [CHECKPOINT_MAGIC]
     for name, tensor in params.items():
-        dims = " ".join(str(d) for d in tensor.shape)
-        lines.append(f"{name} {dims}".rstrip())
-        lines.append(" ".join(repr(float(v)) for v in tensor.data.reshape(-1)))
+        lines.append(" ".join([name, *map(str, tensor.shape)]))
+        raw = np.ascontiguousarray(tensor.data, "<f8").tobytes()
+        lines.append(base64.b64encode(raw).decode("ascii"))
     return "\n".join(lines) + "\n"
 
 
 def parse_checkpoint(text: str) -> dict[str, np.ndarray]:
+    """Decode a v2 checkpoint; the returned arrays are read-only views of
+    the decoded bytes."""
     lines = text.split("\n")
-    while lines and not lines[-1].strip():
+    if lines[-1] == "":
         lines.pop()
-    if len(lines) % 2 != 0:
-        raise FormatError("checkpoint must alternate header and value lines")
+    if lines[:1] != [CHECKPOINT_MAGIC]:
+        raise FormatError(
+            f"first line is not '{CHECKPOINT_MAGIC}': an old text (v1) or "
+            "foreign checkpoint; retrain the model to write one in format 2"
+        )
+    if len(lines) % 2 == 0:
+        raise FormatError("checkpoint must alternate header and payload lines")
     arrays: dict[str, np.ndarray] = {}
-    for i in range(0, len(lines), 2):
-        parts = lines[i].split(" ")
-        name = parts[0]
+    for i in range(1, len(lines), 2):
+        name, *dims_text = lines[i].split(" ")
         if not name:
             raise FormatError(f"missing tensor name on checkpoint line {i + 1}")
-        try:
-            dims = tuple(int(d) for d in parts[1:])
-            values = np.asarray([float(v) for v in lines[i + 1].split(" ") if v])
-        except ValueError:
-            raise FormatError(f"unparseable checkpoint entry at line {i + 1}")
-        if values.size != int(np.prod(dims)):
+        if not all(d.isascii() and d.isdigit() for d in dims_text):
             raise FormatError(
-                f"tensor '{name}' declares shape {dims} but has {values.size} values"
+                f"tensor '{name}' needs non-negative integer dims on checkpoint "
+                f"line {i + 1}"
             )
-        if not np.isfinite(values).all():
-            raise FormatError(f"tensor '{name}' holds non-finite values")
+        dims = tuple(map(int, dims_text))
         if name in arrays:
             raise FormatError(f"duplicate tensor '{name}' at line {i + 1}")
-        arrays[name] = values.reshape(dims)
+        try:
+            raw = base64.b64decode(lines[i + 1], validate=True)
+        except ValueError:
+            raise FormatError(
+                f"tensor '{name}' has a malformed base64 payload on checkpoint "
+                f"line {i + 2}"
+            ) from None
+        nbytes = 8 * math.prod(dims)
+        if len(raw) != nbytes:
+            raise FormatError(
+                f"tensor '{name}' declares shape {dims} ({nbytes} bytes) but "
+                f"its payload holds {len(raw)} bytes"
+            )
+        values = np.frombuffer(raw, "<f8").reshape(dims)
+        if not np.isfinite(values).all():
+            raise FormatError(f"tensor '{name}' holds non-finite values")
+        arrays[name] = values
     return arrays
 
 

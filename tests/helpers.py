@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import base64
+
 import numpy as np
 
 # verdict lines collected by the release-gate tests; conftest.py prints
@@ -63,3 +65,20 @@ def random_parent_map(rng: np.random.Generator, n: int) -> dict[str, str | None]
     for i in range(1, n):
         parent[f"c{i}"] = f"c{int(rng.integers(0, i))}"
     return parent
+
+
+def with_first_value(lines: list[str], value: float) -> list[str]:
+    """Checkpoint lines whose first tensor starts with ``value``: its payload
+    line decoded, edited and encoded again."""
+    data = np.frombuffer(base64.b64decode(lines[2]), "<f8").copy()
+    data[0] = value
+    return lines[:2] + [base64.b64encode(data.tobytes()).decode("ascii")] + lines[3:]
+
+
+def v1_checkpoint_text(arrays) -> str:
+    """Tensors in the retired text checkpoint format: a "name dims..." header
+    line, then the repr of every value, with no magic line."""
+    return "".join(
+        f"{name} {' '.join(map(str, a.shape))}\n{' '.join(map(repr, a.ravel().tolist()))}\n"
+        for name, a in arrays.items()
+    )

@@ -2,11 +2,19 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from imageqa.cli import main
+from imageqa.models import parse_checkpoint
 from imageqa.textpipe import Vocabulary
-from tests.helpers import TOY_LEXICON, TOY_TAXONOMY, separable_corpus
+from tests.helpers import (
+    TOY_LEXICON,
+    TOY_TAXONOMY,
+    separable_corpus,
+    v1_checkpoint_text,
+    with_first_value,
+)
 
 
 @pytest.fixture
@@ -412,8 +420,15 @@ def nan_in_checkpoint(workdir):
     argv = predict_argv(workdir)
     ckpt = workdir / "model.ckpt"
     lines = ckpt.read_text(encoding="utf-8").split("\n")
-    lines[1] = "nan " + lines[1].split(" ", 1)[1]  # the first embedding value
-    ckpt.write_text("\n".join(lines), encoding="utf-8")
+    ckpt.write_text("\n".join(with_first_value(lines, np.nan)), encoding="utf-8")
+    return argv
+
+
+def v1_checkpoint(workdir):
+    argv = predict_argv(workdir)
+    ckpt = workdir / "model.ckpt"
+    arrays = parse_checkpoint(ckpt.read_text(encoding="utf-8"))
+    ckpt.write_text(v1_checkpoint_text(arrays), encoding="utf-8")
     return argv
 
 
@@ -452,8 +467,7 @@ def answers_not_utf8(workdir):
     )
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "setup, code, needle",
     [
@@ -461,10 +475,16 @@ def answers_not_utf8(workdir):
         (lambda w: features_with(w, "inf"), 3, "line 4"),
         (diverging_run, 4, "epoch 2, step 2"),
         (overflowing_last_step, 4, "'classifier.weight'"),
-        (nan_in_checkpoint, 3, "'embedding'"),
+        (lambda w: train_argv(w, "--model", "blind-bow", "--seed", -1), 4, "seed"),
+        (nan_in_checkpoint, 3, "model.ckpt: tensor 'embedding'"),
+        (v1_checkpoint, 3, "model.ckpt: first line"),
         (edit_manifest(lambda m: m["model"].update(depth=2)), 4, "'depth'"),
         (edit_manifest(lambda m: m["model"].pop("seed")), 4, "'seed'"),
         (edit_manifest(lambda m: m.update(model="blind-bow")), 4, "'model'"),
+        (edit_manifest(lambda m: m["model"].update(dropout_rate="x")), 4, "'dropout_rate'"),
+        (edit_manifest(lambda m: m["model"].update(input_dim="12")), 4, "'input_dim'"),
+        (edit_manifest(lambda m: m["pipeline"].update(maxlen="x")), 4, "'maxlen'"),
+        (edit_manifest(lambda m: m.update(pipeline=[])), 4, "'pipeline'"),
         (truncated_manifest, 3, "model.ckpt.manifest.json"),
         (not_utf8("vocab_q.txt"), 3, "vocab_q.txt"),
         (not_utf8("model.ckpt"), 3, "model.ckpt"),
@@ -473,8 +493,10 @@ def answers_not_utf8(workdir):
     ],
     ids=[
         "feature-nan", "feature-inf", "diverged-loss", "non-finite-parameters",
-        "checkpoint-nan", "manifest-extra-key", "manifest-missing-key",
-        "manifest-model-not-object", "manifest-bad-json", "vocab-not-utf8", "checkpoint-not-utf8",
+        "negative-seed", "checkpoint-nan", "checkpoint-v1", "manifest-extra-key",
+        "manifest-missing-key", "manifest-model-not-object", "manifest-dropout-not-number",
+        "manifest-input-dim-string", "manifest-maxlen-not-int", "manifest-pipeline-not-object",
+        "manifest-bad-json", "vocab-not-utf8", "checkpoint-not-utf8",
         "manifest-not-utf8", "answers-not-utf8",
     ],
 )

@@ -9,6 +9,7 @@ from imageqa.errors import (
     ContractError,
     DimensionError,
     EmptySequenceError,
+    FormatError,
 )
 from imageqa.models import (
     Model,
@@ -22,6 +23,7 @@ from imageqa.models import (
     parse_checkpoint,
 )
 from imageqa.train import cross_entropy
+from tests.helpers import v1_checkpoint_text, with_first_value
 
 RNG = np.random.default_rng(0)
 QUESTIONS = np.array([[0, 2, 3, 4], [0, 0, 5, 2]])
@@ -362,7 +364,11 @@ def test_bow_sum_pooling_scales_the_average():
 def test_checkpoint_round_trip_is_bitwise():
     for model, _ in all_models():
         text = format_checkpoint(model.params)
-        arrays = parse_checkpoint(text)
+        assert text.isascii() and text.startswith("imageqa-checkpoint 2\n")
+        assert format_checkpoint(model.params) == text
+        # written and read back as UTF-8 text, the way callers store it
+        arrays = parse_checkpoint(text.encode("utf-8").decode("utf-8"))
+        assert list(arrays) == list(model.params)
         clone = build_model(model.kind, model.config)
         for p in clone.params.values():
             p.data[...] = 0.0
@@ -382,3 +388,41 @@ def test_checkpoint_mismatch_is_rejected():
     del arrays["embedding"]
     with pytest.raises(ContractError):
         load_checkpoint(model, arrays)
+
+
+def test_checkpoint_keeps_edge_values_bit_for_bit():
+    info = np.finfo(np.float64)
+    edge = np.array([-0.0, 0.0, info.smallest_subnormal, -info.smallest_subnormal,
+                     info.tiny / 3, info.max, -info.max, 1 / 3])
+    arrays = parse_checkpoint(format_checkpoint({"edge": Tensor(edge.reshape(2, 4))}))
+    assert arrays["edge"].shape == (2, 4)
+    assert arrays["edge"].tobytes() == edge.tobytes()
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        (lambda ls: v1_checkpoint_text(parse_checkpoint("\n".join(ls))).split("\n"),
+         "first line"),
+        (lambda ls: ls[:2] + [ls[2][:-5] + "*" + ls[2][-4:]] + ls[3:], "base64"),
+        (lambda ls: ls[:2] + [ls[2][:-1]] + ls[3:], "base64"),
+        (lambda ls: ls[:2] + [ls[2][:-4]] + ls[3:], "bytes"),
+        (lambda ls: ls[:1] + ["embedding 7 5"] + ls[2:], "bytes"),
+        (lambda ls: ls[:1] + ["embedding 7 x"] + ls[2:], "integer dims"),
+        (lambda ls: ls[:1] + [" 7 6"] + ls[2:], "missing tensor name"),
+        (lambda ls: ls[:3] + ls[1:], "duplicate tensor 'embedding'"),
+        (lambda ls: ls[:-2], "alternate"),
+        (lambda ls: with_first_value(ls, np.nan), "tensor 'embedding' holds non-finite"),
+        (lambda ls: with_first_value(ls, -np.inf), "tensor 'embedding' holds non-finite"),
+    ],
+    ids=[
+        "v1-text", "bad-base64-character", "bad-base64-padding", "truncated-payload",
+        "wrong-byte-count", "non-integer-dims", "missing-name", "duplicate-name",
+        "odd-line-count", "nan-payload", "inf-payload",
+    ],
+)
+def test_malformed_checkpoint_is_a_format_error(edit, needle):
+    model = build_model("blind-bow", tiny_config())
+    lines = format_checkpoint(model.params).split("\n")
+    with pytest.raises(FormatError, match=needle):
+        parse_checkpoint("\n".join(edit(lines)))
